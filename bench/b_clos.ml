@@ -14,7 +14,10 @@ let run () =
   let db0 = Geo_brazil.db brazil in
   let desc = Geo_brazil.mt_state_desc brazil in
 
-  (* a 6-stage pipeline: α Σ Π Σ Ω Δ — validity checked at every stage *)
+  (* a 6-stage pipeline: α Σ Π Σ Ω Δ — validity checked at every stage.
+     The operators compose on result sets; propagation happens only
+     inside the closure checks, so the "pipeline + closure checks" row
+     carries all of the Def. 9 cost. *)
   let pipeline check =
     let db = Mad_store.Database.copy db0 in
     let mt = MA.define db ~name:(MA.gen_name "mt") desc in

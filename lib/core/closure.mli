@@ -18,6 +18,9 @@ val check_molecule_type :
   Database.t ->
   Molecule_type.t ->
   report
-(** The Def. 9 bijection check re-derives the whole occurrence;
-    [stats] (default: counters in [obs]'s registry) accounts that
-    work so profiles stop under-reporting it. *)
+(** Propagates the occurrence ({!Molecule_algebra.materialize}, which
+    enlarges [db]), then checks [md_graph], the Def. 9 bijection,
+    [mv_graph] per propagated molecule and database integrity.  The
+    bijection check re-derives the whole occurrence; [stats] (default:
+    counters in [obs]'s registry) accounts that work so profiles stop
+    under-reporting it. *)

@@ -4,10 +4,14 @@
     cartesian product X, union Ω, difference Δ, and the derived
     intersection Ψ(mt1,mt2) = Δ(mt1, Δ(mt1,mt2)).
 
-    Every operator follows the three-stage scheme of Fig. 5:
-    operation-specific actions produce a result set over the operand's
-    types; {!Propagate.prop} materializes it in the enlarged database;
-    the result is again a molecule type (closure, Theorem 3). *)
+    Fig. 5 defines each operator as operation-specific actions, then
+    propagation (Def. 9), then molecule-type definition.  Here the
+    operators stop after the actions: they return the result set over
+    the operand's types, which is all that composition (qualification,
+    compatibility, set operations) and rendering read.  {!materialize}
+    runs the propagation on demand — for the closure checks, and for X,
+    whose pair root has no base type — so Σ, Π, Ω, Δ and Ψ never enlarge
+    the database they read. *)
 
 open Mad_store
 module Smap = Map.Make (String)
@@ -20,8 +24,9 @@ let gen_name prefix =
 
 (* One span per operator application; input/output are molecule
    cardinalities, and the derivation [stats] deltas (atoms visited,
-   links traversed) are attached so the cost of propagation exactness
-   checks is attributed to the operator that triggered them. *)
+   links traversed) are attached so the cost of derivation (α, and X's
+   propagation exactness checks) is attributed to the operator that
+   triggered it. *)
 let op_span obs stats op ~name ~in_count f =
   Mad_obs.Obs.timed obs ("molecule_algebra." ^ op)
     ~attrs:
@@ -42,6 +47,13 @@ let op_span obs stats op ~name ~in_count f =
     Mad_obs.Span.set sp "links_traversed"
       (Mad_obs.Span.Int (Derive.links_traversed s - l0)));
   mt
+
+(* ------------------------------------------------------------------ *)
+(* prop — propagation into the enlarged database (Def. 9)               *)
+
+let materialize ?stats db (mt : Molecule_type.t) =
+  Propagate.prop ?stats db ~name:mt.name ~desc:mt.desc ~attr_proj:mt.attr_proj
+    mt.occ
 
 (* ------------------------------------------------------------------ *)
 (* α — molecule-type definition (Def. 8)                                *)
@@ -123,10 +135,7 @@ let restrict ?(obs = Mad_obs.Obs.noop) ?stats ?par ?name db pred
   @@ fun () ->
   typecheck_qual db mt pred;
   let rsv = par_filter ?par (fun m -> molecule_satisfies db mt m pred) mt.occ in
-  let materialized =
-    Propagate.prop ?stats db ~name ~desc:mt.desc ~attr_proj:mt.attr_proj rsv
-  in
-  Molecule_type.v ~attr_proj:mt.attr_proj ~materialized ~name ~desc:mt.desc rsv
+  Molecule_type.v ~attr_proj:mt.attr_proj ~name ~desc:mt.desc rsv
 
 (* ------------------------------------------------------------------ *)
 (* Π — molecule-type projection                                         *)
@@ -181,8 +190,7 @@ let project ?(obs = Mad_obs.Obs.noop) ?stats ?name db keep
         Molecule.v ~root:m.root ~by_node ~links)
       mt.occ
   in
-  let materialized = Propagate.prop ?stats db ~name ~desc:desc' ~attr_proj rsv in
-  Molecule_type.v ~attr_proj ~materialized ~name ~desc:desc' rsv
+  Molecule_type.v ~attr_proj ~name ~desc:desc' rsv
 
 (* ------------------------------------------------------------------ *)
 (* Ω / Δ / Ψ — union, difference, intersection                          *)
@@ -192,7 +200,9 @@ let check_compatible op (a : Molecule_type.t) (b : Molecule_type.t) =
     Err.failf "%s requires identically described molecule types (%s vs %s)" op
       a.name b.name
 
-let union ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
+(* Ω and Δ read only the operands' occurrences; the database argument
+   keeps their signatures in line with the other operators. *)
+let union ?(obs = Mad_obs.Obs.noop) ?stats ?name _db (mt1 : Molecule_type.t)
     (mt2 : Molecule_type.t) =
   let name =
     Option.value name ~default:(gen_name (mt1.name ^ "_omega"))
@@ -206,13 +216,9 @@ let union ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
       (Molecule.Set.union (Molecule_type.molecule_set mt1)
          (Molecule_type.molecule_set mt2))
   in
-  let materialized =
-    Propagate.prop ?stats db ~name ~desc:mt1.desc ~attr_proj:mt1.attr_proj rsv
-  in
-  Molecule_type.v ~attr_proj:mt1.attr_proj ~materialized ~name ~desc:mt1.desc
-    rsv
+  Molecule_type.v ~attr_proj:mt1.attr_proj ~name ~desc:mt1.desc rsv
 
-let diff ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
+let diff ?(obs = Mad_obs.Obs.noop) ?stats ?name _db (mt1 : Molecule_type.t)
     (mt2 : Molecule_type.t) =
   let name =
     Option.value name ~default:(gen_name (mt1.name ^ "_delta"))
@@ -226,11 +232,7 @@ let diff ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
       (Molecule.Set.diff (Molecule_type.molecule_set mt1)
          (Molecule_type.molecule_set mt2))
   in
-  let materialized =
-    Propagate.prop ?stats db ~name ~desc:mt1.desc ~attr_proj:mt1.attr_proj rsv
-  in
-  Molecule_type.v ~attr_proj:mt1.attr_proj ~materialized ~name ~desc:mt1.desc
-    rsv
+  Molecule_type.v ~attr_proj:mt1.attr_proj ~name ~desc:mt1.desc rsv
 
 (** Ψ(mt1, mt2) = Δ(mt1, Δ(mt1, mt2)) — the paper's worked example of
     operator composition under closure. *)
@@ -259,17 +261,11 @@ let product ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
     ~in_count:(List.length mt1.occ + List.length mt2.occ)
   @@ fun () ->
   (* the synthetic pair root and its link types are enlarged-database
-     scratch, like everything [Propagate.prop] builds: keep them out of
+     scratch, like everything {!materialize} builds: keep them out of
      any journal the database carries *)
   Database.unjournaled db @@ fun () ->
-  let p1 =
-    Propagate.prop ?stats db ~name:(name ^ ".1") ~desc:mt1.desc
-      ~attr_proj:mt1.attr_proj mt1.occ
-  in
-  let p2 =
-    Propagate.prop ?stats db ~name:(name ^ ".2") ~desc:mt2.desc
-      ~attr_proj:mt2.attr_proj mt2.occ
-  in
+  let p1 = materialize ?stats db { mt1 with name = name ^ ".1" } in
+  let p2 = materialize ?stats db { mt2 with name = name ^ ".2" } in
   let pair_type = Propagate.fresh_name db (name ^ ".pair") in
   ignore
     (Database.declare_atom_type db pair_type

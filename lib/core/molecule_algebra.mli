@@ -1,8 +1,10 @@
 (** The molecule algebra (Defs. 8 and 10, Theorems 2-3): definition α,
     restriction Σ, projection Π, product X, union Ω, difference Δ and
-    the derived intersection Ψ(a,b) = Δ(a, Δ(a,b)).  Every operator
-    follows Fig. 5's scheme: operation-specific actions, propagation
-    ({!Propagate.prop}), molecule-type definition. *)
+    the derived intersection Ψ(a,b) = Δ(a, Δ(a,b)).  Operators compose
+    on the result set over the operand's types; Fig. 5's propagation
+    step is {!materialize}, run on demand (closure checks, X) rather
+    than by every operator, so Σ, Π, Ω, Δ and Ψ leave the database
+    untouched. *)
 
 open Mad_store
 
@@ -13,8 +15,15 @@ val gen_name : string -> string
     (default: the shared no-op) and emits one span per application,
     named [molecule_algebra.<op>], carrying the result-type name,
     input/output molecule cardinalities and — when [stats] is given —
-    the derivation-work deltas attributable to the operator (including
-    the propagation exactness re-derivation). *)
+    the derivation-work deltas attributable to the operator. *)
+
+val materialize :
+  ?stats:Derive.stats -> Database.t -> Molecule_type.t -> Molecule_type.materialization
+(** Def. 9's [prop]: enlarge the database by the renamed atom types and
+    inherited link types under which the molecule type's occurrence is
+    exactly derivable ({!Propagate.prop}, strategy [`Auto]).  The new
+    types are named after the molecule type.  [stats] accounts the
+    exactness re-derivation. *)
 
 val define :
   ?obs:Mad_obs.Obs.t ->
@@ -106,5 +115,6 @@ val product :
   Molecule_type.t ->
   Molecule_type.t ->
   Molecule_type.t
-(** X — operands are propagated onto fresh types; a synthetic pair root
-    keeps the combined structure single-rooted. *)
+(** X — operands are {!materialize}d onto fresh types; a synthetic pair
+    root keeps the combined structure single-rooted.  The one operator
+    that enlarges the database: its pair root has no base type. *)

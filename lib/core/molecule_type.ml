@@ -3,13 +3,11 @@
 
     A molecule type carries its occurrence in the coordinates of the
     database types its description mentions (the "result set" [rst] view
-    of Def. 9/10); the [materialized] field holds the outcome of
-    propagation — the renamed atom types, inherited link types and the
-    re-derived occurrence over the enlarged database — which is what
-    Theorems 2/3 quantify over.  Operators compose on the result-set
-    view and re-materialize, mirroring Fig. 5's three-stage scheme
-    (operation-specific actions, propagation, molecule-type
-    definition). *)
+    of Def. 9/10).  Operators compose on that view; propagation — the
+    renamed atom types, inherited link types and the re-derived
+    occurrence over the enlarged database, which is what Theorems 2/3
+    quantify over — is a {!materialization} built on demand
+    ([Molecule_algebra.materialize]). *)
 
 open Mad_store
 module Smap = Map.Make (String)
@@ -33,11 +31,9 @@ type t = {
       (** node -> attribute names visible after molecule projection;
           nodes absent from the map expose all attributes *)
   occ : Molecule.t list;
-  materialized : materialization option;
 }
 
-let v ?(attr_proj = Smap.empty) ?materialized ~name ~desc occ =
-  { name; desc; attr_proj; occ; materialized }
+let v ?(attr_proj = Smap.empty) ~name ~desc occ = { name; desc; attr_proj; occ }
 
 let name t = t.name
 let desc t = t.desc

@@ -1,8 +1,9 @@
 (** Molecule types (Def. 7): name, molecule-type description and
     occurrence, carried in the coordinates of the database types the
-    description mentions (the result-set view of Defs. 9-10); the
-    [materialized] field holds the propagation outcome that Theorems
-    2-3 quantify over. *)
+    description mentions (the result-set view of Defs. 9-10).  The
+    propagation outcome that Theorems 2-3 quantify over is a
+    {!materialization}, built on demand by
+    [Molecule_algebra.materialize]. *)
 
 open Mad_store
 module Smap :
@@ -27,12 +28,10 @@ type t = {
       (** node -> attributes visible after molecule projection; absent
           nodes expose all attributes *)
   occ : Molecule.t list;
-  materialized : materialization option;
 }
 
 val v :
   ?attr_proj:string list Smap.t ->
-  ?materialized:materialization ->
   name:string ->
   desc:Mdesc.t ->
   Molecule.t list ->

@@ -36,8 +36,6 @@ type t = {
           through the cross-session commit coordinator.  Hooks are a
           list precisely so those two do not clobber each other. *)
   mutable hook_seq : int;  (** next {!commit_handle} *)
-  mutable legacy_hook : commit_handle option;
-      (** the hook owned by the deprecated {!set_on_commit} shim *)
   mutable digest : Mad_obs.Digest.t option;
       (** Workload digest; [None] (the default) records nothing.
           {!enable_digest} creates one against the session registry. *)
@@ -89,7 +87,6 @@ let create ?obs db =
     ext = None;
     commit_hooks = [];
     hook_seq = 0;
-    legacy_hook = None;
     digest = None;
     slow_guard = false;
     fp_cache = Hashtbl.create 64;
@@ -118,19 +115,6 @@ let add_on_commit t f =
 
 let remove_on_commit t h =
   t.commit_hooks <- List.filter (fun (h', _) -> h' <> h) t.commit_hooks
-
-(* deprecated shim over the registration list: owns at most one hook,
-   replaced (or removed) on every call, as the old single mutable
-   [on_commit] field behaved *)
-let set_on_commit t f =
-  (match t.legacy_hook with
-   | Some h ->
-     remove_on_commit t h;
-     t.legacy_hook <- None
-   | None -> ());
-  match f with
-  | None -> ()
-  | Some f -> t.legacy_hook <- Some (add_on_commit t f)
 
 (* the commit is timed as its own operator so fsync stalls show up in
    [op.latency_us{op=mql.commit}] (with a flight-recorder exemplar)

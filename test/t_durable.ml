@@ -317,9 +317,10 @@ let test_recovery_errors_name_files () =
 
 (* --- queries never journal ------------------------------------------- *)
 
-(* Query evaluation enlarges the database with derived result types
-   (Propagate.prop, the atom algebra, molecule products).  All of that
-   is scratch state rebuilt on demand — none of it may reach the WAL. *)
+(* Only X (its synthetic pair root) and the atom algebra enlarge the
+   database while a query runs; the other molecule operators compose on
+   the result set.  Whatever is enlarged is scratch state rebuilt on
+   demand — none of it may reach the WAL. *)
 let test_queries_do_not_journal () =
   in_tmp "query-nolog" @@ fun dir ->
   let h = Durable.open_or_seed ~seed:Harness.seed_db dir in
@@ -341,6 +342,52 @@ let test_queries_do_not_journal () =
   check_int "replay sees only the DML" (before + 1)
     (Durable.recovery h2).Durable.replayed_records;
   Durable.close h2
+
+(* A read never writes: repeated qualified SELECTs over Σ, Σ+Π, Ω, Δ
+   and Ψ leave the epoch, the schema, the snapshot and the log exactly
+   as they were. *)
+let test_reads_leave_db_unchanged () =
+  in_tmp "reads-pure" @@ fun dir ->
+  let h = Durable.open_or_seed ~seed:Harness.seed_db dir in
+  let db = Durable.db h in
+  let snapshot_bytes () =
+    Durable.snapshot h;
+    (Unix.stat (Filename.concat dir Durable.snapshot_basename)).Unix.st_size
+  in
+  let bytes0 = snapshot_bytes () in
+  let epoch0 = Database.epoch db in
+  let type_counts () =
+    ( List.length (Database.atom_type_names db),
+      List.length (Database.link_type_names db) )
+  in
+  let types0 = type_counts () in
+  let session = Mad_mql.Session.create db in
+  (* caps are 10..13: [big] keeps boxes 1-3, [small] boxes 0-2 *)
+  let big = "SELECT ALL FROM box-part WHERE box.cap >= 11" in
+  let small = "SELECT ALL FROM box-part WHERE box.cap < 13" in
+  let reads =
+    [
+      big ^ ";";
+      "SELECT box, part(name) FROM box-part WHERE part.weight >= 9;";
+      big ^ " UNION " ^ small ^ ";";
+      big ^ " DIFF " ^ small ^ ";";
+      big ^ " INTERSECT " ^ small ^ ";";
+    ]
+  in
+  for _ = 1 to 20 do
+    List.iter
+      (fun q ->
+        match Mad_mql.Session.run session q with
+        | Mad_mql.Session.Result (Mad_mql.Translate.Molecules mt) ->
+          check (q ^ " returns molecules") true (Mad.Molecule_type.cardinality mt > 0)
+        | _ -> Alcotest.failf "%s: expected a molecule result" q)
+      reads
+  done;
+  check_int "epoch unchanged" epoch0 (Database.epoch db);
+  check "atom/link type counts unchanged" true (types0 = type_counts ());
+  check_int "WAL still empty" 0 (Durable.wal_records h);
+  check_int "snapshot bytes unchanged" bytes0 (snapshot_bytes ());
+  Durable.close h
 
 (* --- the learned-catalog file ---------------------------------------- *)
 
@@ -387,6 +434,8 @@ let suite =
       test_recovery_errors_name_files;
     Alcotest.test_case "queries never journal" `Quick
       test_queries_do_not_journal;
+    Alcotest.test_case "reads leave the database unchanged" `Quick
+      test_reads_leave_db_unchanged;
     Alcotest.test_case "learned catalog round-trip" `Quick
       test_catalog_roundtrip;
   ]

@@ -1,5 +1,5 @@
 (* Odds and ends: value/domain edges, forced propagation strategies,
-   executor materialization, session rendering. *)
+   session rendering. *)
 
 open Mad_store
 open Workloads
@@ -51,28 +51,6 @@ let test_forced_prop_strategies () =
   in
   check "copied > shared" true (atoms_of copied > atoms_of shared);
   check "db still valid" true (Integrity.is_valid db)
-
-let test_executor_materialize_option () =
-  let b = Geo_brazil.build () in
-  let db = Geo_brazil.db b in
-  let q =
-    {
-      Prima.Planner.name = "q";
-      desc = Geo_brazil.mt_state_desc b;
-      where = Some Mad.Qual.(attr "state" "hectare" >% int 900);
-      select = Some [ ("state", None); ("area", None) ];
-    }
-  in
-  let pipelined = Prima.Executor.run ~materialize:false db q in
-  let materialized = Prima.Executor.run ~materialize:true db q in
-  check_int "same cardinality"
-    (MT.cardinality pipelined.Prima.Executor.mt)
-    (MT.cardinality materialized.Prima.Executor.mt);
-  (* materialized result carries a propagation, pipelined does not *)
-  check "materialized has prop" true
-    (materialized.Prima.Executor.mt.MT.materialized <> None);
-  check "pipelined has none" true
-    (pipelined.Prima.Executor.mt.MT.materialized = None)
 
 let test_session_rendering () =
   let b = Geo_brazil.build () in
@@ -137,8 +115,6 @@ let suite =
     Alcotest.test_case "value/domain edges" `Quick test_value_edges;
     Alcotest.test_case "forced prop strategies" `Quick
       test_forced_prop_strategies;
-    Alcotest.test_case "executor materialize option" `Quick
-      test_executor_materialize_option;
     Alcotest.test_case "session rendering" `Quick test_session_rendering;
     Alcotest.test_case "atom pp_named" `Quick test_atom_pp_named;
     Alcotest.test_case "link-type helpers" `Quick test_link_type_helpers;

@@ -38,9 +38,8 @@ let test_restrict_sigma () =
   (* hectare > 900: BA=1000, SP=2000, RS=1500 *)
   check_int "three big states" 3 (MT.cardinality big);
   check "closure" true (closure_ok db big);
-  (match big.MT.materialized with
-   | Some m -> check "shared propagation suffices" true (m.MT.strategy = `Shared)
-   | None -> Alcotest.fail "Σ must propagate");
+  check "shared propagation suffices" true
+    ((MA.materialize db big).MT.strategy = `Shared);
   (* restriction referencing a non-root node: states bordered by the
      Parana's net — via implicit existential semantics over point *)
   let sigma_pn =
@@ -151,13 +150,11 @@ let test_propagated_types_are_queryable () =
   let b, db = brazil () in
   let mt = mt_state b db in
   let big = MA.restrict ~name:"bigp" db Mad.Qual.(attr "state" "hectare" >% int 900) mt in
-  match big.MT.materialized with
-  | None -> Alcotest.fail "expected materialization"
-  | Some m ->
-    let re = MA.define db ~name:"re_derived" m.MT.mdesc in
-    check "re-derivation equals propagated occurrence" true
-      (Mad.Molecule.Set.equal (MT.molecule_set re)
-         (Mad.Molecule.Set.of_list m.MT.mocc))
+  let m = MA.materialize db big in
+  let re = MA.define db ~name:"re_derived" m.MT.mdesc in
+  check "re-derivation equals propagated occurrence" true
+    (Mad.Molecule.Set.equal (MT.molecule_set re)
+       (Mad.Molecule.Set.of_list m.MT.mocc))
 
 let suite =
   [

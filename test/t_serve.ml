@@ -51,8 +51,7 @@ let test_wire_roundtrip () =
         (fun r ->
           Wire.write_req a r;
           match Wire.read_req ~keep_waiting:wait_forever b with
-          | Wire.Msg (got, None) -> check "req round trip" true (got = r)
-          | Wire.Msg (_, Some _) -> Alcotest.fail "v1 request carried metadata"
+          | Wire.Msg (got, _) -> check "req round trip" true (got = r)
           | _ -> Alcotest.fail "request did not round trip")
         reqs;
       (* responses, including an empty payload *)
@@ -83,17 +82,19 @@ let test_wire_limits () =
       Unix.close b)
     (fun () ->
       let cap = 64 * 1024 in
-      (* a payload of exactly the cap passes...  (written from a domain:
-         a socketpair buffer cannot hold 64 KiB unread) *)
-      let big = String.make cap 'q' in
+      (* a payload (metadata prefix + text) of exactly the cap
+         passes...  (written from a domain: a socketpair buffer cannot
+         hold 64 KiB unread) *)
+      let text_cap = cap - Wire.meta_bytes in
+      let big = String.make text_cap 'q' in
       let w = Stdlib.Domain.spawn (fun () -> Wire.write_req a (Wire.Query big)) in
       (match Wire.read_req ~max_len:cap ~keep_waiting:wait_forever b with
        | Wire.Msg (Wire.Query got, _) ->
-         check_int "max-size frame" cap (String.length got)
+         check_int "max-size frame" text_cap (String.length got)
        | _ -> Alcotest.fail "max-size frame rejected");
       Stdlib.Domain.join w;
       (* ...one byte more is rejected before the payload is read *)
-      let over = String.make (cap + 1) 'q' in
+      let over = String.make (text_cap + 1) 'q' in
       let w = Stdlib.Domain.spawn (fun () -> Wire.write_req a (Wire.Query over)) in
       (match Wire.read_req ~max_len:cap ~keep_waiting:wait_forever b with
        | Wire.Oversized n -> check_int "oversized declares its length" (cap + 1) n
@@ -144,38 +145,38 @@ let test_wire_v2_codec () =
     (fun () ->
       (* a v2 statement always carries the 9-byte metadata prefix *)
       let meta = { Wire.want_phases = true; span = 42 } in
-      Wire.write_req ~version:2 ~meta a (Wire.Query "SELECT ALL FROM state;");
-      (match Wire.read_req ~version:2 ~keep_waiting:wait_forever b with
+      Wire.write_req ~meta a (Wire.Query "SELECT ALL FROM state;");
+      (match Wire.read_req ~keep_waiting:wait_forever b with
        | Wire.Msg (Wire.Query s, Some m) ->
          check_string "v2 statement text" "SELECT ALL FROM state;" s;
          check "v2 meta wants phases" true m.Wire.want_phases;
          check_int "v2 meta span" 42 m.Wire.span
        | _ -> Alcotest.fail "v2 statement did not round trip");
       (* metadata defaults to no_meta when the writer supplies none *)
-      Wire.write_req ~version:2 a (Wire.Exec "INSERT;");
-      (match Wire.read_req ~version:2 ~keep_waiting:wait_forever b with
+      Wire.write_req a (Wire.Exec "INSERT;");
+      (match Wire.read_req ~keep_waiting:wait_forever b with
        | Wire.Msg (Wire.Exec _, Some m) ->
          check "default meta is inert" false m.Wire.want_phases;
          check_int "default meta span" 0 m.Wire.span
        | _ -> Alcotest.fail "v2 default meta did not round trip");
-      (* non-statement opcodes never carry metadata, any version *)
-      Wire.write_req ~version:2 a Wire.Ping;
-      (match Wire.read_req ~version:2 ~keep_waiting:wait_forever b with
+      (* non-statement opcodes never carry metadata *)
+      Wire.write_req a Wire.Ping;
+      (match Wire.read_req ~keep_waiting:wait_forever b with
        | Wire.Msg (Wire.Ping, None) -> ()
        | _ -> Alcotest.fail "ping must stay meta-free");
-      (* the v2 statement is meta_bytes bigger on the wire, and the
-         byte accounting knows *)
+      (* a statement is meta_bytes bigger on the wire, and the byte
+         accounting knows *)
       check_int "req_bytes counts the prefix"
-        (Wire.req_bytes (Wire.Query "x") + Wire.meta_bytes)
-        (Wire.req_bytes ~version:2 (Wire.Query "x"));
+        (Wire.header_bytes + Wire.meta_bytes + 1)
+        (Wire.req_bytes (Wire.Query "x"));
       (* the frame cap applies to the whole payload, prefix included *)
       let cap = 64 in
       let text = String.make (cap - Wire.meta_bytes + 1) 'q' in
       let w =
         Stdlib.Domain.spawn (fun () ->
-            Wire.write_req ~version:2 a (Wire.Query text))
+            Wire.write_req a (Wire.Query text))
       in
-      (match Wire.read_req ~version:2 ~max_len:cap ~keep_waiting:wait_forever b with
+      (match Wire.read_req ~max_len:cap ~keep_waiting:wait_forever b with
        | Wire.Oversized n -> check_int "v2 oversized includes prefix" (cap + 1) n
        | _ -> Alcotest.fail "v2 oversized frame accepted");
       Stdlib.Domain.join w;
@@ -188,7 +189,7 @@ let test_wire_v2_codec () =
       Bytes.set_int32_le hdr 0 4l;
       Bytes.set_uint8 hdr 4 1;
       Wire.write_all a (Bytes.to_string hdr ^ "abcd");
-      (match Wire.read_req ~version:2 ~keep_waiting:wait_forever b with
+      (match Wire.read_req ~keep_waiting:wait_forever b with
        | Wire.Bad_magic -> ()
        | _ -> Alcotest.fail "short v2 payload must be rejected");
       (* phase codec round trip, including the empty list *)
@@ -321,28 +322,11 @@ let test_version_mismatch () =
   check "server still serves" true (Client.ping c);
   Client.close c
 
-(* --- version negotiation (v1 ↔ v2 interop) -------------------------- *)
+(* --- version negotiation --------------------------------------------- *)
 
-let test_v1_client_v2_server () =
-  with_server (brazil ()) @@ fun srv ->
-  match Client.connect ~version:1 ~host:"127.0.0.1" (Serve.port srv) with
-  | Error e -> Alcotest.failf "v1 connect: %a" Client.pp_connect_error e
-  | Ok c ->
-    check_int "negotiated down to 1" 1 (Client.version c);
-    check "v1 ping" true (Client.ping c);
-    (match Client.query c "SELECT ALL FROM state WHERE state.name = 'SP';" with
-     | Ok out ->
-       check "v1 query works on a v2 server" true (contains ~affix:"state" out)
-     | Error msg -> Alcotest.failf "v1 query: %s" msg);
-    (* phase tracing degrades gracefully on a v1 connection *)
-    (match Client.query_traced c "SELECT ALL FROM state;" with
-     | Ok (_, phases) -> check "no phases over v1" true (phases = [])
-     | Error msg -> Alcotest.failf "v1 traced query: %s" msg);
-    Client.close c
-
-(* a minimal v1-only peer: refuses a v2 hello naming version 1, then
-   accepts the downgraded retry and answers pings — what a pre-v2
-   [madql serve] does on the wire *)
+(* a minimal v1-only peer refuses a v2 hello naming version 1 — what a
+   pre-v2 [madql serve] does on the wire; the client reports the
+   mismatch and does not retry at v1 *)
 let test_v2_client_v1_server () =
   let lst = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lst Unix.SO_REUSEADDR true;
@@ -355,40 +339,22 @@ let test_v2_client_v1_server () =
   in
   let server =
     Stdlib.Domain.spawn (fun () ->
-        let serve_one () =
-          let fd, _ = Unix.accept lst in
-          (match Wire.read_client_hello ~keep_waiting:wait_forever fd with
-           | Wire.Msg 1 ->
-             Wire.write_server_hello fd ~version:1 Wire.H_ok;
-             let rec loop () =
-               match Wire.read_req ~keep_waiting:wait_forever fd with
-               | Wire.Msg (Wire.Ping, _) ->
-                 Wire.write_resp fd Wire.Pong "";
-                 loop ()
-               | Wire.Msg (Wire.Quit, _) -> Wire.write_resp fd Wire.Bye ""
-               | _ -> ()
-             in
-             loop ()
-           | Wire.Msg _ -> Wire.write_server_hello fd ~version:1 Wire.H_version
-           | _ -> ());
-          Unix.close fd
-        in
-        serve_one ();
-        (* the refused v2 proposal... *)
-        serve_one ())
-    (* ...and the downgraded retry *)
+        let fd, _ = Unix.accept lst in
+        (match Wire.read_client_hello ~keep_waiting:wait_forever fd with
+         | Wire.Msg _ -> Wire.write_server_hello fd ~version:1 Wire.H_version
+         | _ -> ());
+        Unix.close fd)
   in
   Fun.protect
     ~finally:(fun () ->
       Stdlib.Domain.join server;
       Unix.close lst)
     (fun () ->
-      match Client.connect ~host:"127.0.0.1" port with
-      | Ok c ->
-        check_int "auto-downgraded to v1" 1 (Client.version c);
-        check "ping over the downgraded link" true (Client.ping c);
-        Client.close c
-      | Error e -> Alcotest.failf "downgrade failed: %a" Client.pp_connect_error e)
+      match Client.connect ~timeout:5.0 ~host:"127.0.0.1" port with
+      | Error (Client.Version_mismatch v) -> check_int "server names v1" 1 v
+      | Error e ->
+        Alcotest.failf "expected a version mismatch: %a" Client.pp_connect_error e
+      | Ok _ -> Alcotest.fail "a v1-only server must be refused")
 
 (* --- request phases -------------------------------------------------- *)
 
@@ -597,9 +563,7 @@ let suite =
       test_coordinator_leader_failure;
     Alcotest.test_case "basic requests" `Quick test_basic_requests;
     Alcotest.test_case "handshake version mismatch" `Quick test_version_mismatch;
-    Alcotest.test_case "v1 client against a v2 server" `Quick
-      test_v1_client_v2_server;
-    Alcotest.test_case "v2 client auto-downgrades to a v1 server" `Quick
+    Alcotest.test_case "v2 client refuses v1 server" `Quick
       test_v2_client_v1_server;
     Alcotest.test_case "request phases partition latency" `Quick
       test_phase_breakdown;
